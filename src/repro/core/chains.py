@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.addressing import require_address
-
 __all__ = [
     "dimension_compare",
     "dimension_sorted",
@@ -132,21 +130,3 @@ def is_cube_ordered_chain_bruteforce(chain: Sequence[int], n: int) -> bool:
             if member and member[-1] - member[0] + 1 != len(member):
                 return False
     return True
-
-
-def chain_positions_in(chain: Sequence[int], lo: int, hi: int, bitmask: int, value: int) -> int:
-    """First index in ``chain[lo:hi]`` whose masked bits differ from ``value``.
-
-    Helper shared by the Maxport recursion and ``weighted_sort``; returns
-    ``hi`` when every element matches.
-    """
-    for i in range(lo, hi):
-        if (chain[i] & bitmask) != value:
-            return i
-    return hi
-
-
-def validate_chain_addresses(chain: Sequence[int], n: int) -> None:
-    """Raise unless every chain element is a valid ``n``-cube address."""
-    for d in chain:
-        require_address(d, n, "chain element")

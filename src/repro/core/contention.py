@@ -17,7 +17,9 @@ This module implements reachable sets, the pairwise condition, and a
 whole-schedule verifier.  The verifier is deliberately *independent* of
 the algorithms' own reasoning: it recomputes paths and reachable sets
 from scratch so the property-based tests exercise the algorithms
-against it.
+against it.  It indexes the unicasts by arc, so only pairs that share a
+channel are tested; the plain all-pairs loop is kept in the test suite
+as its oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.core.paths import Arc, ResolutionOrder, ecube_arcs
+from repro.core.paths import ARC_DIM_BITS, Arc, ResolutionOrder, ecube_arc_ids, ecube_arcs
 
 __all__ = [
     "ContentionReport",
@@ -67,6 +69,11 @@ class ContentionReport:
     ok: bool
     violations: list[tuple[Unicast, Unicast, Arc]] = field(default_factory=list)
     causality_errors: list[str] = field(default_factory=list)
+    #: verifier cost: arc uses indexed, arcs held by two or more
+    #: unicasts, and unicast pairs tested (the pairs sharing an arc)
+    arcs: int = field(default=0, compare=False)
+    shared_arcs: int = field(default=0, compare=False)
+    pairs_checked: int = field(default=0, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -98,19 +105,26 @@ def reachable_sets(source: int, unicasts: Iterable[Unicast]) -> dict[int, set[in
         nodes.add(uc.src)
         nodes.add(uc.dst)
 
+    # Iterative post-order: a chain multicast is one tree level per hop,
+    # far deeper than the interpreter's recursion limit.
     reach: dict[int, set[int]] = {}
-
-    def collect(u: int) -> set[int]:
-        if u in reach:
-            return reach[u]
-        r = {u}
-        for c in children.get(u, ()):
-            r |= collect(c)
-        reach[u] = r
-        return r
-
-    for u in nodes:
-        collect(u)
+    entered: set[int] = set()
+    for root in nodes:
+        stack = [(root, False)]
+        while stack:
+            u, expanded = stack.pop()
+            if u in reach:
+                continue
+            kids = children.get(u, ())
+            if expanded:
+                r = {u}
+                for c in kids:
+                    r.update(reach.get(c, ()))
+                reach[u] = r
+            elif u not in entered:  # met again before it finished: a cycle
+                entered.add(u)
+                stack.append((u, True))
+                stack.extend((c, False) for c in kids if c not in reach)
     return reach
 
 
@@ -148,6 +162,11 @@ def check_contention_free(
     source must have received the message in a strictly earlier step
     than any step in which it sends.
 
+    The unicasts are indexed by arc, so only pairs that share an arc are
+    tested, and reachable sets are built only if such a pair exists.
+    Violations come in ``(i, j)`` index order, each with the smallest
+    shared arc as its witness.
+
     Args:
         arcs_of: optional ``(src, dst) -> channels`` override.  Defaults
             to E-cube paths in the given resolution order; the mesh
@@ -178,25 +197,38 @@ def check_contention_free(
                 f"node {uc.src} sends at step {uc.step} but only receives at step {got}"
             )
 
-    reach = reachable_sets(source, unicasts)
-    k = len(unicasts)
     if arcs_of is None:
-        arcs = [set(uc.arcs(order)) for uc in unicasts]
+        paths = [ecube_arc_ids(uc.src, uc.dst, order) for uc in unicasts]
     else:
-        arcs = [set(arcs_of(uc.src, uc.dst)) for uc in unicasts]
-    for i in range(k):
-        for j in range(i + 1, k):
-            shared = arcs[i] & arcs[j]
-            if not shared:
-                continue
-            a, b = unicasts[i], unicasts[j]
-            if a.step == b.step:
-                ok = False
-            elif a.step < b.step:
-                ok = b.src in reach.get(a.src, set())
-            else:
-                ok = a.src in reach.get(b.src, set())
-            if not ok:
-                report.ok = False
-                report.violations.append((a, b, min(shared)))
+        paths = [set(arcs_of(uc.src, uc.dst)) for uc in unicasts]
+    owner: dict = {}
+    users: dict = {}  # arc -> every unicast using it, once it has two
+    for i, path in enumerate(paths):
+        for arc in path:
+            first = owner.setdefault(arc, i)
+            if first != i:
+                users.setdefault(arc, [first]).append(i)
+    witness: dict[tuple[int, int], object] = {}  # (i, j) -> min shared arc
+    for arc in sorted(users):
+        idx = users[arc]
+        for p, i in enumerate(idx):
+            for j in idx[p + 1:]:
+                witness.setdefault((i, j), arc)
+    report.arcs = sum(map(len, paths))
+    report.shared_arcs = len(users)
+    report.pairs_checked = len(witness)
+    if not witness:
+        return report
+
+    reach = reachable_sets(source, unicasts)
+    for i, j in sorted(witness):
+        a, b = unicasts[i], unicasts[j]
+        early, late = (a, b) if a.step <= b.step else (b, a)
+        if early.step < late.step and late.src in reach.get(early.src, ()):
+            continue
+        arc = witness[i, j]
+        if arcs_of is None:
+            arc = divmod(arc, 1 << ARC_DIM_BITS)
+        report.ok = False
+        report.violations.append((a, b, arc))
     return report

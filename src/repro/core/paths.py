@@ -7,8 +7,12 @@ shortest path ``P(u, v)``.
 
 An *arc* is a directed channel, identified here by the pair
 ``(tail_node, dim)``: the channel leaving ``tail_node`` in dimension
-``dim``.  Two unicasts can only contend for a channel if their paths
-share an arc, so *arc-disjoint* paths are always contention-free.
+``dim``.  The kernels (the greedy step scheduler and the Definition-4
+verifier) use the same arc packed into one integer id,
+``tail_node << ARC_DIM_BITS | dim``; since ``dim < 2**ARC_DIM_BITS``
+the ids sort exactly like the tuples.  Two unicasts can only contend
+for a channel if their paths share an arc, so *arc-disjoint* paths are
+always contention-free.
 Theorems 1 and 2 of the paper give cheap sufficient conditions for
 arc-disjointness; this module implements both the exact (enumerative)
 check and the theorem-based predicates, which the test suite validates
@@ -18,15 +22,17 @@ against each other.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.addressing import delta, first_dim
 from repro.core.subcube import Subcube
 
 __all__ = [
+    "ARC_DIM_BITS",
     "Arc",
     "ResolutionOrder",
     "arcs_disjoint",
+    "ecube_arc_ids",
     "ecube_arcs",
     "ecube_dims",
     "ecube_path",
@@ -38,6 +44,9 @@ __all__ = [
 #: A directed channel: ``(tail_node, dim)`` is the channel from
 #: ``tail_node`` to ``tail_node ^ (1 << dim)``.
 Arc = tuple[int, int]
+
+#: Low bits of a packed arc id holding the dimension (cubes up to 64-D).
+ARC_DIM_BITS = 6
 
 
 class ResolutionOrder(Enum):
@@ -59,11 +68,8 @@ class ResolutionOrder(Enum):
 
 def ecube_dims(u: int, v: int, order: ResolutionOrder = ResolutionOrder.DESCENDING) -> list[int]:
     """The dimensions traversed by ``P(u, v)``, in traversal order."""
-    x = u ^ v
-    dims = [d for d in range(x.bit_length()) if (x >> d) & 1]
-    if order.descending:
-        dims.reverse()
-    return dims
+    mask = (1 << ARC_DIM_BITS) - 1
+    return [a & mask for a in ecube_arc_ids(u, v, order)]
 
 
 def ecube_path(
@@ -86,18 +92,45 @@ def ecube_path(
     return path
 
 
+def ecube_arc_ids(
+    u: int,
+    v: int,
+    order: ResolutionOrder = ResolutionOrder.DESCENDING,
+) -> list[int]:
+    """The arcs of ``P(u, v)`` as packed ids ``tail << ARC_DIM_BITS | dim``,
+    in traversal order.
+
+    Peels the differing address bits one at a time: the highest first
+    for the descending order, the lowest first for the ascending one.
+    """
+    x = u ^ v
+    if x >> (1 << ARC_DIM_BITS):
+        raise ValueError(f"arc ids cover cubes up to {1 << ARC_DIM_BITS} dimensions")
+    ids: list[int] = []
+    cur = u
+    if order is ResolutionOrder.DESCENDING:
+        while x:
+            d = x.bit_length() - 1
+            bit = 1 << d
+            ids.append(cur << ARC_DIM_BITS | d)
+            cur ^= bit
+            x ^= bit
+    else:
+        while x:
+            low = x & -x
+            ids.append(cur << ARC_DIM_BITS | (low.bit_length() - 1))
+            cur ^= low
+            x ^= low
+    return ids
+
+
 def ecube_arcs(
     u: int,
     v: int,
     order: ResolutionOrder = ResolutionOrder.DESCENDING,
 ) -> list[Arc]:
     """The directed arcs (channels) used by ``P(u, v)``, in traversal order."""
-    arcs: list[Arc] = []
-    cur = u
-    for d in ecube_dims(u, v, order):
-        arcs.append((cur, d))
-        cur ^= 1 << d
-    return arcs
+    return [divmod(a, 1 << ARC_DIM_BITS) for a in ecube_arc_ids(u, v, order)]
 
 
 def paths_arc_disjoint(
@@ -165,11 +198,3 @@ def theorem2_guarantees_disjoint(
     paired with low-bit-fixed subcubes).
     """
     return u in s and v in s and x not in s and y not in s
-
-
-def all_arcs(n: int) -> Iterable[Arc]:
-    """All ``n * 2**n`` directed arcs of the ``n``-cube (used by the
-    channel-coverage analyses and the deadlock graph tests)."""
-    for u in range(1 << n):
-        for d in range(n):
-            yield (u, d)

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from repro.core.addressing import hamming, require_address
 from repro.core.contention import ContentionReport, Unicast, check_contention_free
-from repro.core.paths import ResolutionOrder, ecube_arcs
+from repro.core.paths import ResolutionOrder, ecube_arc_ids
 from repro.multicast._scheduling import greedy_steps
 from repro.multicast.ports import ALL_PORT, PortModel
 from repro.obs import trace_spans
@@ -168,7 +168,7 @@ class MulticastTree:
         steps = greedy_steps(
             self.source,
             [(s.seq, s.src, s.dst) for s in self._sends],
-            lambda u, v: ecube_arcs(u, v, self.order),
+            lambda u, v: ecube_arc_ids(u, v, self.order),
             ports.limit(self.n),
         )
         return Schedule(self, ports, steps)
@@ -212,7 +212,12 @@ class Schedule:
         ) as sp:
             report = check_contention_free(self.tree.source, self.unicasts, self.tree.order)
             if sp is not None:
-                sp.set(ok=report.ok)
+                sp.set(
+                    ok=report.ok,
+                    arcs=report.arcs,
+                    shared_arcs=report.shared_arcs,
+                    pairs_checked=report.pairs_checked,
+                )
             return report
 
 

@@ -12,6 +12,7 @@ from repro.core.contention import (
     pair_contention_free,
     reachable_sets,
 )
+from repro.core.embedding import gray_code
 from repro.core.paths import ResolutionOrder
 
 
@@ -50,6 +51,15 @@ class TestReachableSets:
         reach = reachable_sets(0, ucs)
         assert reach[4] == {4, 5, 6, 7}
         assert reach[6] == {6, 7}
+
+    def test_deep_gray_code_chain(self):
+        """A 2,047-hop Gray-code chain through the 11-cube is one tree
+        level per hop, far past the interpreter's recursion limit."""
+        chain = [gray_code(i) for i in range(1 << 11)]
+        ucs = [Unicast(u, v, step) for step, (u, v) in enumerate(zip(chain, chain[1:]), 1)]
+        reach = reachable_sets(0, ucs)
+        assert all(reach[u] == set(chain[i:]) for i, u in enumerate(chain))
+        assert check_contention_free(0, ucs).ok
 
 
 class TestPairContentionFree:

@@ -8,8 +8,10 @@ from hypothesis import given
 
 from repro.core.addressing import delta, hamming, reverse_bits
 from repro.core.paths import (
+    ARC_DIM_BITS,
     ResolutionOrder,
     arcs_disjoint,
+    ecube_arc_ids,
     ecube_arcs,
     ecube_dims,
     ecube_path,
@@ -18,6 +20,7 @@ from repro.core.paths import (
     theorem2_guarantees_disjoint,
 )
 from repro.core.subcube import Subcube
+from tests.core.contention_oracle import oracle_arcs
 
 DESC = ResolutionOrder.DESCENDING
 ASC = ResolutionOrder.ASCENDING
@@ -47,6 +50,24 @@ class TestEcubePath:
     def test_length_is_hamming(self, u, v):
         assert len(ecube_path(u, v)) == hamming(u, v) + 1
         assert len(ecube_arcs(u, v)) == hamming(u, v)
+
+    @given(
+        st.integers(0, (1 << 64) - 1), st.integers(0, (1 << 64) - 1), st.sampled_from([DESC, ASC])
+    )
+    def test_arc_ids_pack_the_arcs(self, u, v, order):
+        """Packed ids decode to the path's arcs and sort like the tuples."""
+        arcs = oracle_arcs(u, v, order)
+        ids = ecube_arc_ids(u, v, order)
+        assert [divmod(a, 1 << ARC_DIM_BITS) for a in ids] == arcs == ecube_arcs(u, v, order)
+        assert ecube_dims(u, v, order) == [d for _, d in arcs]
+        both = ids + ecube_arc_ids(v, u, order)
+        assert [divmod(a, 1 << ARC_DIM_BITS) for a in sorted(both)] == sorted(
+            arcs + oracle_arcs(v, u, order)
+        )
+
+    def test_arc_ids_reject_dims_beyond_packing(self):
+        with pytest.raises(ValueError):
+            ecube_arc_ids(0, 1 << 64)
 
     @given(nodes10, nodes10)
     def test_each_hop_is_one_dim(self, u, v):
